@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -115,70 +116,139 @@ BM_InvariantEvaluation(benchmark::State &state)
 }
 BENCHMARK(BM_InvariantEvaluation);
 
-void
-BM_StateStoreInsert(benchmark::State &state)
+/** Distinct state #i of the store benches (i < 2^24). */
+SystemState
+distinctState(std::uint32_t i)
 {
-    // Insert a fresh batch of distinct states per iteration.
-    std::vector<SystemState> batch;
-    for (int i = 0; i < 256; ++i) {
-        SystemState s;
-        s.counter = static_cast<std::uint8_t>(i);
-        s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
-        batch.push_back(s);
+    SystemState s;
+    s.counter = static_cast<std::uint8_t>(i);
+    s.dev[0].pc = static_cast<std::uint8_t>(i >> 8);
+    s.dev[1].pc = static_cast<std::uint8_t>(i >> 16);
+    return s;
+}
+
+/** The default store configuration in @p mode. */
+StoreConfig
+defaultConfig(StoreMode mode)
+{
+    StoreConfig config;
+    config.mode = mode;
+    return config;
+}
+
+std::vector<StateStore::BatchItem>
+distinctItems(std::uint32_t first, std::uint32_t count)
+{
+    std::vector<StateStore::BatchItem> items(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        items[i].state = distinctState(first + i);
+        items[i].hash = items[i].state.hash();
     }
+    return items;
+}
+
+/**
+ * Store cold start: construct a store, insert the argument's number
+ * of distinct states, destroy it — the fixed cost every tiny check
+ * (registry scenarios, litmus tests, daemon requests) pays.
+ */
+void
+storeColdStart(benchmark::State &state, StoreMode mode)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    const std::vector<StateStore::BatchItem> items =
+        distinctItems(0, n);
     for (auto _ : state) {
-        StateStore store(1024);
-        for (const auto &s : batch)
-            store.insert(s, StateStore::kNoParent, 0, 0);
+        StateStore store(defaultConfig(mode));
+        for (const StateStore::BatchItem &item : items) {
+            store.insert(item.state, item.hash, StateStore::kNoParent,
+                         0, 0);
+        }
         benchmark::DoNotOptimize(store.size());
     }
-    state.SetItemsProcessed(state.iterations() * 256);
+    state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_StateStoreInsert);
 
 void
-BM_StateStoreInsertCompact(benchmark::State &state)
+BM_StateStoreColdStart(benchmark::State &state)
 {
-    // The same insertion stream through the hash-compacted store:
-    // fingerprints are computed and stored instead of state bytes.
-    std::vector<SystemState> batch;
-    for (int i = 0; i < 256; ++i) {
-        SystemState s;
-        s.counter = static_cast<std::uint8_t>(i);
-        s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
-        batch.push_back(s);
-    }
-    for (auto _ : state) {
-        StateStore store(1024, StoreMode::Compact);
-        for (const auto &s : batch)
-            store.insert(s, StateStore::kNoParent, 0, 0);
-        benchmark::DoNotOptimize(store.size());
-    }
-    state.SetItemsProcessed(state.iterations() * 256);
+    storeColdStart(state, StoreMode::Full);
 }
-BENCHMARK(BM_StateStoreInsertCompact);
+BENCHMARK(BM_StateStoreColdStart)->Arg(8)->Arg(30)->Arg(256);
 
 void
-BM_StateStoreInsertBatched(benchmark::State &state)
+BM_StateStoreColdStartCompact(benchmark::State &state)
 {
-    // The explorer's flush path: one insertBatch call versus 256
-    // single-lock round trips.
-    std::vector<StateStore::BatchItem> items(256);
-    for (int i = 0; i < 256; ++i) {
-        SystemState s;
-        s.counter = static_cast<std::uint8_t>(i);
-        s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
-        items[i].state = s;
-        items[i].hash = s.hash();
-    }
-    for (auto _ : state) {
-        StateStore store(1024);
-        store.insertBatch(items.data(), items.size());
-        benchmark::DoNotOptimize(store.size());
-    }
-    state.SetItemsProcessed(state.iterations() * 256);
+    storeColdStart(state, StoreMode::Compact);
 }
-BENCHMARK(BM_StateStoreInsertBatched);
+BENCHMARK(BM_StateStoreColdStartCompact)->Arg(8)->Arg(30)->Arg(256);
+
+/**
+ * Steady-state insertion: fresh states into a store pre-warmed with
+ * 2^16 entries, 256 per iteration (one insertBatch call when
+ * @p batched, else 256 single-lock inserts).  Warming happens outside
+ * the timed region, and the store is re-warmed every 2^15 fresh
+ * inserts so memory stays bounded.
+ */
+void
+storeWarmInsert(benchmark::State &state, StoreMode mode, bool batched)
+{
+    constexpr std::uint32_t kWarm = 1u << 16;
+    constexpr std::uint32_t kFresh = 1u << 15;
+    constexpr std::uint32_t kBatch = 256;
+    const std::vector<StateStore::BatchItem> warm =
+        distinctItems(0, kWarm);
+    std::vector<StateStore::BatchItem> fresh =
+        distinctItems(kWarm, kFresh);
+    std::unique_ptr<StateStore> store;
+    std::uint32_t next = kFresh;
+    for (auto _ : state) {
+        if (next == kFresh) {
+            state.PauseTiming();
+            store.reset();
+            store = std::make_unique<StateStore>(defaultConfig(mode));
+            for (const StateStore::BatchItem &item : warm) {
+                store->insert(item.state, item.hash,
+                              StateStore::kNoParent, 0, 0);
+            }
+            next = 0;
+            state.ResumeTiming();
+        }
+        StateStore::BatchItem *items = fresh.data() + next;
+        if (batched) {
+            store->insertBatch(items, kBatch);
+        } else {
+            for (std::uint32_t i = 0; i < kBatch; ++i) {
+                store->insert(items[i].state, items[i].hash,
+                              StateStore::kNoParent, 0, 0);
+            }
+        }
+        next += kBatch;
+        benchmark::DoNotOptimize(store->size());
+    }
+    state.SetItemsProcessed(state.iterations() * kBatch);
+}
+
+void
+BM_StateStoreWarmInsert(benchmark::State &state)
+{
+    storeWarmInsert(state, StoreMode::Full, false);
+}
+BENCHMARK(BM_StateStoreWarmInsert);
+
+void
+BM_StateStoreWarmInsertCompact(benchmark::State &state)
+{
+    storeWarmInsert(state, StoreMode::Compact, false);
+}
+BENCHMARK(BM_StateStoreWarmInsertCompact);
+
+void
+BM_StateStoreWarmInsertBatched(benchmark::State &state)
+{
+    storeWarmInsert(state, StoreMode::Full, true);
+}
+BENCHMARK(BM_StateStoreWarmInsertBatched);
 
 void
 BM_ExhaustiveSwmrVerification(benchmark::State &state)

@@ -297,10 +297,11 @@ Explorer::runWorkSteal(const ExploreOptions &options)
                     options.canonicaliseTids);
 
     StateStore store(StoreConfig{
-        1 << 16,
-        options.compaction ? StoreMode::Compact : StoreMode::Full,
-        options.storeBackend, options.storeDir,
-        options.storeCapacity});
+        .mode = options.compaction ? StoreMode::Compact
+                                   : StoreMode::Full,
+        .backend = options.storeBackend,
+        .dir = options.storeDir,
+        .capacityLimit = options.storeCapacity});
     if (options.expectedStates != 0)
         store.reserveStates(options.expectedStates);
     Context ctx{&scenario_};

@@ -23,14 +23,14 @@ StateStore::StateStore(const StoreConfig &config)
     for (Shard &shard : shards_) {
         shard.limit = limit;
         shard.mem = makeShardMem(backend_, config.dir);
-        shard.arena.init(shard.mem.get(), mode_, kOffsetMask);
+        shard.arena.init(shard.mem.get(), mode_, limit);
         // Fingerprints are the identity in compact mode; full-mode
         // recoverable backends keep them too, to dedup against sealed
         // (unmapped) entries without refaulting their blocks.
         needsVerify_ = mode_ == StoreMode::Compact ||
                        shard.arena.recoverable();
         shard.cols.init(shard.mem.get(), needsVerify_,
-                        per_shard_buckets, kOffsetMask);
+                        per_shard_buckets, limit);
     }
 }
 
@@ -42,6 +42,7 @@ StateStore::reserveStates(std::uint64_t expected)
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.cols.reserveEntries(per_shard);
+        shard.arena.reserveEntries(per_shard);
     }
 }
 
@@ -266,6 +267,17 @@ StateStore::mappedBytes() const
     for (const Shard &shard : shards_)
         total += shard.mem->mappedBytes();
     return total;
+}
+
+StateStore::Footprint
+StateStore::allocatedBytes() const
+{
+    Footprint fp;
+    for (const Shard &shard : shards_) {
+        fp.columns += shard.cols.allocatedBytes();
+        fp.arena += shard.arena.allocatedBytes();
+    }
+    return fp;
 }
 
 std::uint64_t

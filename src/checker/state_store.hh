@@ -12,7 +12,7 @@
  *
  *  - ShardColumns (store_columns.hh): the struct-of-arrays entry
  *    columns — probe hash, verification fingerprint, parent, rule,
- *    chunked atomic depth — plus the bucket array.  Shard growth
+ *    segmented atomic depth — plus the bucket array.  Shard growth
  *    rehashes from the stored probe hashes, never from state bytes.
  *  - StateArena (store_arena.hh): the state bytes, as verbatim
  *    full-mode blocks or zero-RLE compact cells, with the
@@ -23,6 +23,15 @@
  *    directory) so sealed BFS levels can be unmapped — address space
  *    and residency track the frontier window, the backing file keeps
  *    every byte, and dropped blocks are remapped on demand.
+ *
+ * Every column that must not move under lock-free readers — depth
+ * cells, full-mode state blocks, compact offsets and byte blocks —
+ * grows on one SegmentSpine (store_segments.hh): a doubling ramp of
+ * small segments up to the fixed chunk size, then fixed chunks.  With
+ * the flats and buckets also starting small, a store's allocation
+ * tracks the states it holds: a 30-state store holds tens of KiB, not
+ * 16 full-size shards (allocatedBytes() reports it per layer).
+ * reserveStates() pre-sizes every layer for an expected run.
  *
  * Two storage modes (StoreMode, declared with the arena):
  *
@@ -55,8 +64,8 @@
  * concurrently from any number of threads.  stateAt()/stateInto()
  * are safe concurrently with inserts *for ids published before the
  * current expansion phase began* (the arena blocks holding them are
- * fixed, and the block/offset spines never reallocate).  The depth
- * column is chunked atomics: depthAt() may be read lock-free at any
+ * fixed, and the segment spines never reallocate).  The depth
+ * column is segmented atomics: depthAt() may be read lock-free at any
  * time (the work-stealing explorer's stale-task check depends on
  * this), while parentAt()/ruleAt() and sealLevel() must only be used
  * while the store is quiescent — the explorers call them between
@@ -120,8 +129,9 @@ class StoreFullError : public std::length_error
 /** Construction parameters of a StateStore (see the file comment for
  * what each axis selects). */
 struct StoreConfig {
-    /** Total bucket hint, split across shards. */
-    std::size_t initialBuckets = 1 << 16;
+    /** Total bucket hint, split across shards (each starts at no
+     * fewer than 16 buckets and doubles at 3/4 load). */
+    std::size_t initialBuckets = 0;
     /** Full (verbatim states) or Compact (hash compaction). */
     StoreMode mode = StoreMode::Full;
     /** Heap or file-backed (out-of-core) shard memory. */
@@ -157,17 +167,6 @@ class StateStore
     static constexpr std::uint32_t kOffsetMask =
         (1u << kOffsetBits) - 1;
 
-    /** Layer constants re-exported for existing callers/tests. */
-    static constexpr std::uint32_t kBlockBits =
-        StateArena::kFullBlockBitsRam;
-    static constexpr std::uint32_t kBlockSize = 1u << kBlockBits;
-    static constexpr std::uint32_t kByteBlockBits =
-        StateArena::kByteBlockBits;
-    static constexpr std::uint32_t kByteBlockSize =
-        1u << kByteBlockBits;
-    static constexpr std::size_t kMaxEncodedState =
-        StateArena::kMaxEncodedState;
-
     /**
      * One pending insert of a batched flush.  The caller fills state,
      * hash (the state's probe hash) and the breadcrumbs; insertBatch
@@ -195,7 +194,7 @@ class StateStore
     explicit StateStore(const StoreConfig &config);
 
     /** Legacy convenience: InRam backend with the given knobs. */
-    explicit StateStore(std::size_t initial_buckets = 1 << 16,
+    explicit StateStore(std::size_t initial_buckets = 0,
                         StoreMode mode = StoreMode::Full,
                         std::uint64_t capacity_limit = 0)
         : StateStore(StoreConfig{initial_buckets, mode,
@@ -209,9 +208,11 @@ class StateStore
 
     /**
      * Pre-size every shard for ~expected/kNumShards entries: bucket
-     * arrays sized for <= 0.5 load at the hint and entry columns
-     * reserved, so a run of the expected size performs no rehash and
-     * no column reallocation.  Callable only while quiescent.
+     * arrays sized for <= 0.5 load at the hint, entry columns
+     * reserved, and the first depth/arena segments sized to the hint
+     * (no ramp once the hint fills a chunk), so a run of the expected
+     * size performs no rehash and no column reallocation.  Callable
+     * only before the first insert.
      */
     void reserveStates(std::uint64_t expected);
 
@@ -315,7 +316,7 @@ class StateStore
 
     /**
      * Current depth label of @p id.  Safe concurrently with inserts
-     * and improvements (chunked atomic column, relaxed load): a racy
+     * and improvements (segmented atomic column, relaxed load): a racy
      * read may be stale, but depths only ever decrease, so a stale
      * value is an upper bound — exactly what the async explorer's
      * stale-task check needs.  Exact once quiescent.
@@ -372,6 +373,27 @@ class StateStore
 
     /** Total size of the shards' backing files (0 on InRam). */
     std::uint64_t backingFileBytes() const;
+
+    /** Bytes a store holds, per layer (see allocatedBytes()). */
+    struct Footprint {
+        /** ShardColumns: flats, buckets, depth segments, depth spine
+         * tables. */
+        std::uint64_t columns = 0;
+        /** StateArena: state/byte blocks currently held, offset
+         * segments, block spine tables. */
+        std::uint64_t arena = 0;
+
+        std::uint64_t total() const { return columns + arena; }
+    };
+
+    /**
+     * Memory held by the store's layers: heap bytes requested on
+     * InRam, page-rounded bytes mapped on Mmap (dropped blocks do not
+     * count; backingFileBytes() has the file side).  Deterministic for
+     * a given insert sequence — the noise-free counterpart of RSS.
+     * Quiescent use only.
+     */
+    Footprint allocatedBytes() const;
 
     /**
      * Probe-hash collisions observed so far: inserts whose 64-bit

@@ -117,54 +117,65 @@ StateArena::init(ShardMem *mem, StoreMode mode,
     mem_ = mem;
     mode_ = mode;
     if (mode_ == StoreMode::Full) {
-        blockBits_ = mem_->recoverable() ? kFullBlockBitsMmap
-                                         : kFullBlockBitsRam;
-        blockBytes_ = static_cast<std::size_t>(1u << blockBits_) *
-                      sizeof(SystemState);
-        // Fully reserve the block spine: it must never reallocate,
-        // because readers index it lock-free (see the class comment).
-        blocks_.reserve((max_entries >> blockBits_) + 1);
+        states_.init(kFullFirstBits,
+                     mem_->recoverable() ? kFullBlockBitsMmap
+                                         : kFullBlockBitsRam,
+                     max_entries);
     } else {
         // Compact cells are offset-addressed with 32 bits per shard:
         // up to 4 GiB of compressed frontier per shard, far beyond
         // the retained working set of any feasible run.
-        blockBits_ = kByteBlockBits;
-        blockBytes_ = std::size_t{1} << kByteBlockBits;
-        blocks_.reserve((std::uint64_t{1} << 32) >> kByteBlockBits);
-        stateOffs_.reserve((max_entries >> kOffChunkBits) + 1);
+        bytes_.init(kByteFirstBits, kByteBlockBits,
+                    std::uint64_t{1} << 32);
+        stateOffs_.init(kOffFirstBits, kOffChunkBits, max_entries);
     }
 }
 
-std::byte *
-StateArena::recoverBlock(std::uint32_t block) const
+void
+StateArena::reserveEntries(std::size_t entries)
 {
-    auto *p = static_cast<std::byte *>(mem_->blockRecover(block));
+    if (mode_ == StoreMode::Full)
+        states_.presize(entries, kFullFirstBits);
+    else
+        stateOffs_.presize(entries, kOffFirstBits);
+}
+
+std::uint64_t
+StateArena::allocatedBytes() const
+{
+    return mem_->allocatedBytes(StoreLayer::Arena) +
+           states_.tableBytes() + bytes_.tableBytes() +
+           stateOffs_.tableBytes();
+}
+
+void
+StateArena::recoverBlock(std::uint32_t seg) const
+{
+    void *p = mem_->blockRecover(seg);
     assert(p && "sealed state block unrecoverable on this backend");
-    blocks_[block] = p;
-    return p;
+    if (mode_ == StoreMode::Full)
+        states_.setSegment(seg, static_cast<StateSlot *>(p));
+    else
+        bytes_.setSegment(seg, static_cast<std::byte *>(p));
 }
 
 const SystemState *
 StateArena::fullAtCold(std::uint32_t off) const
 {
-    const std::uint32_t block = off >> blockBits_;
-    const std::byte *base = blocks_[block];
-    if (!base)
-        base = recoverBlock(block);
-    return slotAt(base, off);
+    const std::uint32_t seg = states_.segmentOf(off);
+    if (!states_.segment(seg))
+        recoverBlock(seg);
+    return fullAt(off);
 }
 
 void
 StateArena::placeFull(std::uint32_t off, const SystemState &state)
 {
-    const std::uint32_t block = off >> blockBits_;
-    if (block == blocks_.size()) {
-        blocks_.push_back(static_cast<std::byte *>(
-            mem_->blockAlloc(block, blockBytes_)));
-    }
-    new (blocks_[block] +
-         static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
-             sizeof(SystemState)) SystemState(state);
+    states_.cover(off, [this](std::uint32_t seg, std::uint64_t slots) {
+        return static_cast<StateSlot *>(
+            mem_->blockAlloc(seg, slots * sizeof(StateSlot)));
+    });
+    new (states_[off].bytes) SystemState(state);
 }
 
 void
@@ -175,8 +186,11 @@ StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
     const std::uint16_t enc_len = encodeCell(state, enc);
     // A cell never straddles byte blocks; skip a too-small tail.
     std::uint64_t at = byteCursor_;
-    if ((at & (blockBytes_ - 1)) + enc_len > blockBytes_)
-        at = (at | (blockBytes_ - 1)) + 1;
+    const std::uint32_t seg = bytes_.segmentOf(at);
+    const std::uint64_t seg_end =
+        bytes_.segmentBegin(seg) + bytes_.segmentLength(seg);
+    if (at + enc_len > seg_end)
+        at = seg_end;
     if (at + enc_len > (std::uint64_t{1} << 32)) {
         throw StoreFullError(
             shard_idx,
@@ -185,33 +199,27 @@ StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
                 "encoded frontier); pre-size with --expect-states so "
                 "sealing keeps up, or lower the run's budgets");
     }
-    const auto block = static_cast<std::uint32_t>(at >> blockBits_);
-    while (block >= blocks_.size()) {
-        blocks_.push_back(static_cast<std::byte *>(mem_->blockAlloc(
-            static_cast<std::uint32_t>(blocks_.size()), blockBytes_)));
-    }
-    std::memcpy(blocks_[block] + (at & (blockBytes_ - 1)), enc,
-                enc_len);
-    const std::uint32_t chunk = off >> kOffChunkBits;
-    if (chunk == stateOffs_.size()) {
-        stateOffs_.push_back(static_cast<std::uint32_t *>(
-            mem_->chunkAlloc(kOffChunkSize * sizeof(std::uint32_t))));
-    }
-    stateOffs_[chunk][off & (kOffChunkSize - 1)] =
-        static_cast<std::uint32_t>(at);
+    bytes_.cover(at, [this](std::uint32_t block, std::uint64_t bytes) {
+        return static_cast<std::byte *>(mem_->blockAlloc(block, bytes));
+    });
+    std::memcpy(&bytes_[at], enc, enc_len);
+    stateOffs_.cover(off, [this](std::uint32_t, std::uint64_t entries) {
+        return static_cast<std::uint32_t *>(mem_->chunkAlloc(
+            entries * sizeof(std::uint32_t), StoreLayer::Arena));
+    });
+    stateOffs_[off] = static_cast<std::uint32_t>(at);
     byteCursor_ = at + enc_len;
 }
 
 void
 StateArena::cellInto(std::uint32_t off, SystemState &out) const
 {
-    const std::uint32_t byte_off = stateOffAt(off);
+    const std::uint32_t byte_off = stateOffs_[off];
     assert(cellRetained(off) && "state released by sealLevel");
-    const std::uint32_t block = byte_off >> blockBits_;
-    const std::byte *base = blocks_[block];
-    if (!base)
-        base = recoverBlock(block);
-    decodeCell(base + (byte_off & (blockBytes_ - 1)), out);
+    const std::uint32_t seg = bytes_.segmentOf(byte_off);
+    if (!bytes_.segment(seg))
+        recoverBlock(seg);
+    decodeCell(&bytes_[byte_off], out);
 }
 
 void
@@ -225,20 +233,26 @@ StateArena::seal(std::uint32_t entry_count)
     // is shared with the still-needed frontier.  The loop rescans
     // from zero so blocks recovered since the last seal go cold
     // again.
-    const std::uint64_t floor_block = levelBoundary_ >> blockBits_;
-    for (std::uint64_t b = 0; b < floor_block; ++b) {
-        if (blocks_[b]) {
-            mem_->blockDrop(static_cast<std::uint32_t>(b));
-            blocks_[b] = nullptr;
+    auto drop_below = [this](auto &spine) {
+        const std::uint32_t floor = std::min(
+            spine.segmentOf(levelBoundary_), spine.segments());
+        for (std::uint32_t b = 0; b < floor; ++b) {
+            if (spine.segment(b)) {
+                mem_->blockDrop(b);
+                spine.setSegment(b, nullptr);
+            }
         }
-    }
+        return floor;
+    };
     if (mode_ == StoreMode::Compact) {
+        const std::uint32_t floor = drop_below(bytes_);
         if (!mem_->recoverable()) {
             byteFloor_ =
-                std::max(byteFloor_, floor_block << blockBits_);
+                std::max(byteFloor_, bytes_.segmentBegin(floor));
         }
         levelBoundary_ = byteCursor_;
     } else {
+        drop_below(states_);
         levelBoundary_ = entry_count;
     }
 }

@@ -2,19 +2,26 @@
  * @file
  * State-arena layer of the visited-state store.
  *
- * One StateArena holds a shard's state bytes in fixed-size,
- * index-addressed blocks allocated from the shard's ShardMem backend
- * (store_mem.hh):
+ * One StateArena holds a shard's state bytes in index-addressed
+ * blocks allocated from the shard's ShardMem backend (store_mem.hh),
+ * laid out on a SegmentSpine (store_segments.hh): a doubling ramp of
+ * small blocks, then fixed-size blocks, so a shard holding a handful
+ * of states allocates a few KiB while a large run gets today's
+ * block size from the end of the first block's worth on:
  *
- *  - Full mode: verbatim SystemState slots, blockStates() per block.
- *  - Compact mode: zero-RLE cells in byte blocks, located by a
- *    chunked per-entry offset column (chunks never move, so workers
- *    may read frontier offsets while peers append).
+ *  - Full mode: verbatim SystemState slots, a ramp from
+ *    2^kFullFirstBits states up to kFullBlockBitsRam (heap) or
+ *    kFullBlockBitsMmap (mmap) states per block.
+ *  - Compact mode: zero-RLE cells in byte blocks (a ramp from
+ *    2^kByteFirstBits bytes up to 2^kByteBlockBits), located by a
+ *    segmented per-entry offset column (segments never move, so
+ *    workers may read frontier offsets while peers append).
  *
- * The block-pointer spine is fully reserved at init so it never
- * reallocates — readers index it lock-free for entries published
- * before their expansion phase began, the same contract the
- * monolithic store had.
+ * The spines never reallocate — the ramp's block pointers sit in a
+ * fixed array and the table for the fixed-size blocks is allocated
+ * once, at full size, when a run first grows past the ramp — so
+ * readers index them lock-free for entries published before their
+ * expansion phase began, the same contract the monolithic store had.
  *
  * seal(): at a BFS level barrier the façade passes the current entry
  * count and the arena drops every whole block that belongs to levels
@@ -27,7 +34,9 @@
  * on demand (fullAtCold()/cellInto()) — which is also why
  * counterexample traces stay reconstructible under mmap even in
  * compact mode.  Recovered blocks are re-dropped at the next seal
- * (the drop loop rescans from block zero).
+ * (the drop loop rescans from block zero).  Ramp blocks are dropped
+ * the same way, one at a time; past the ramp the drop granularity is
+ * the fixed block size.
  *
  * Full-mode dedup against a sealed (dropped) block would fault pages
  * back per duplicate and re-grow the mapped window; the façade
@@ -49,9 +58,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <vector>
 
 #include "checker/store_mem.hh"
+#include "checker/store_segments.hh"
 #include "protocol/state.hh"
 
 namespace cxl
@@ -67,17 +76,22 @@ enum class StoreMode : std::uint8_t {
 class StateArena
 {
   public:
-    /** log2 of states per full-mode block: ~2 MB heap blocks in RAM;
-     * smaller (~1 MB) blocks under mmap so the partial-block slack at
-     * the mapped window's edges stays small. */
+    /** log2 of states in the first full-mode block (~4 KiB). */
+    static constexpr std::uint32_t kFullFirstBits = 4;
+    /** log2 of states per full-mode block past the ramp: ~2 MB heap
+     * blocks in RAM; smaller (~1 MB) blocks under mmap so the
+     * partial-block slack at the mapped window's edges stays small. */
     static constexpr std::uint32_t kFullBlockBitsRam = 13;
     static constexpr std::uint32_t kFullBlockBitsMmap = 12;
-    /** log2 of the compact-mode byte-block size (256 KiB). */
+    /** log2 of the first compact-mode byte block (4 KiB) and of the
+     * byte-block size past the ramp (256 KiB). */
+    static constexpr std::uint32_t kByteFirstBits = 12;
     static constexpr std::uint32_t kByteBlockBits = 18;
 
-    /** log2 of entries per chunk of the compact offset column. */
+    /** log2 of the first segment and of the chunks of the compact
+     * offset column. */
+    static constexpr std::uint32_t kOffFirstBits = 5;
     static constexpr std::uint32_t kOffChunkBits = 16;
-    static constexpr std::uint32_t kOffChunkSize = 1u << kOffChunkBits;
 
     /**
      * Upper bound on one zero-RLE-encoded state cell: 2-byte payload
@@ -87,19 +101,26 @@ class StateArena
      */
     static constexpr std::size_t kMaxEncodedState =
         2 + sizeof(SystemState) + 2 * (sizeof(SystemState) / 255 + 1);
+    static_assert((std::size_t{1} << kByteFirstBits) >= kMaxEncodedState,
+                  "a cell must fit the first byte block");
 
-    /** Bind to a backend; @p max_entries bounds the spine
-     * reservations (full mode; compact reserves for its 4 GiB byte
-     * space). */
+    /** Bind to a backend; @p max_entries bounds the spines' block
+     * tables (full mode and the compact offset column; compact byte
+     * blocks cover their 4 GiB offset space). */
     void init(ShardMem *mem, StoreMode mode, std::uint32_t max_entries);
 
-    /** log2 of states per block in full mode (runtime: backend-
-     * dependent). */
-    std::uint32_t fullBlockBits() const { return blockBits_; }
+    /** Size the first full-mode block and offset segment to hold
+     * @p entries (no ramp when they fill a block).  Only before the
+     * first append. */
+    void reserveEntries(std::size_t entries);
 
     /** True when dropped blocks can be remapped from the backing
      * file. */
     bool recoverable() const { return mem_->recoverable(); }
+
+    /** Bytes held by this layer: blocks, offset segments and the
+     * spines' block tables.  Quiescent use only. */
+    std::uint64_t allocatedBytes() const;
 
     // --- Full mode ---------------------------------------------------
 
@@ -108,9 +129,10 @@ class StateArena
     const SystemState *
     fullAt(std::uint32_t off) const
     {
-        const std::byte *base = blocks_[off >> blockBits_];
+        std::uint64_t at;
+        const StateSlot *base = states_.locate(off, at);
         assert(base && "state block sealed; use fullAtCold");
-        return slotAt(base, off);
+        return slotState(base + at);
     }
 
     /** Like fullAt but null when the enclosing block was dropped —
@@ -118,8 +140,9 @@ class StateArena
     const SystemState *
     fullIfMapped(std::uint32_t off) const
     {
-        const std::byte *base = blocks_[off >> blockBits_];
-        return base ? slotAt(base, off) : nullptr;
+        std::uint64_t at;
+        const StateSlot *base = states_.locate(off, at);
+        return base ? slotState(base + at) : nullptr;
     }
 
     /** fullAt that remaps a dropped block first (shard lock held or
@@ -149,7 +172,7 @@ class StateArena
     bool
     cellRetained(std::uint32_t off) const
     {
-        return byteFloor_ == 0 || stateOffAt(off) >= byteFloor_;
+        return byteFloor_ == 0 || stateOffs_[off] >= byteFloor_;
     }
 
     // --- Level barrier -----------------------------------------------
@@ -163,36 +186,33 @@ class StateArena
     void seal(std::uint32_t entry_count);
 
   private:
-    const SystemState *
-    slotAt(const std::byte *base, std::uint32_t off) const
+    /** Raw storage of one full-mode state. */
+    struct StateSlot {
+        alignas(SystemState) std::byte bytes[sizeof(SystemState)];
+    };
+
+    static const SystemState *
+    slotState(const StateSlot *slot)
     {
-        return std::launder(reinterpret_cast<const SystemState *>(
-            base +
-            static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
-                sizeof(SystemState)));
+        return std::launder(
+            reinterpret_cast<const SystemState *>(slot->bytes));
     }
 
-    std::uint32_t
-    stateOffAt(std::uint32_t off) const
-    {
-        return stateOffs_[off >> kOffChunkBits]
-                         [off & (kOffChunkSize - 1)];
-    }
-
-    std::byte *recoverBlock(std::uint32_t block) const;
+    /** Remap dropped block @p seg of the mode's spine. */
+    void recoverBlock(std::uint32_t seg) const;
 
     ShardMem *mem_ = nullptr;
     StoreMode mode_ = StoreMode::Full;
-    std::uint32_t blockBits_ = kFullBlockBitsRam;
-    std::size_t blockBytes_ = 0;
     /**
-     * Block-pointer cache, fully reserved (never reallocates; see the
-     * file comment).  Null means dropped; mutable because cold reads
-     * remap on demand without changing observable state.
+     * Block spines (never reallocate; see the file comment): full
+     * mode's state slots, compact mode's cell bytes.  Null means
+     * dropped; mutable because cold reads remap on demand without
+     * changing observable state.
      */
-    mutable std::vector<std::byte *> blocks_;
-    /** Compact offset column, in fixed chunks (never move). */
-    std::vector<std::uint32_t *> stateOffs_;
+    mutable SegmentSpine<StateSlot> states_;
+    mutable SegmentSpine<std::byte> bytes_;
+    /** Compact offset column (segments never move). */
+    SegmentSpine<std::uint32_t> stateOffs_;
     std::uint64_t byteCursor_ = 0; ///< compact: next free arena byte
     std::uint64_t byteFloor_ = 0;  ///< compact: lost below this (InRam)
     /** Level boundary at the previous seal: entry count (full) or

@@ -1,5 +1,7 @@
 #include "checker/store_columns.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <new>
 
@@ -12,10 +14,7 @@ namespace
 std::size_t
 pow2AtLeast(std::size_t n)
 {
-    std::size_t cap = 16;
-    while (cap < n)
-        cap <<= 1;
-    return cap;
+    return std::bit_ceil(std::max<std::size_t>(n, 16));
 }
 
 } // namespace
@@ -27,7 +26,7 @@ ShardColumns::init(ShardMem *mem, bool keep_verifies,
 {
     mem_ = mem;
     keepVerifies_ = keep_verifies;
-    depths_.reserve((max_entries >> kDepthChunkBits) + 1);
+    depths_.init(kDepthFirstBits, kDepthChunkBits, max_entries);
     sizeBuckets(pow2AtLeast(initial_buckets));
 }
 
@@ -52,7 +51,7 @@ ShardColumns::sizeBuckets(std::size_t cap)
 void
 ShardColumns::growColumns(std::size_t need)
 {
-    std::size_t cap = entryCap_ == 0 ? 1024 : entryCap_;
+    std::size_t cap = entryCap_ == 0 ? kFirstEntries : entryCap_;
     while (cap < need)
         cap *= 2;
     hashes_ = static_cast<std::uint64_t *>(mem_->flatGrow(
@@ -81,16 +80,15 @@ ShardColumns::append(std::uint64_t hash, std::uint64_t verify,
         verifies_[off] = verify;
     parents_[off] = parent;
     rules_[off] = rule;
-    const std::uint32_t chunk = off >> kDepthChunkBits;
-    if (chunk == depths_.size()) {
-        auto *cells = static_cast<std::atomic<std::uint32_t> *>(
-            mem_->chunkAlloc(kDepthChunkSize *
-                             sizeof(std::atomic<std::uint32_t>)));
-        for (std::uint32_t i = 0; i < kDepthChunkSize; ++i)
-            new (&cells[i]) std::atomic<std::uint32_t>();
-        depths_.push_back(cells);
-    }
-    depthCell(off).store(depth, std::memory_order_relaxed);
+    depths_.cover(off, [this](std::uint32_t, std::uint64_t entries) {
+        return static_cast<std::atomic<std::uint32_t> *>(
+            mem_->chunkAlloc(entries *
+                                 sizeof(std::atomic<std::uint32_t>),
+                             StoreLayer::Columns));
+    });
+    // Cells are constructed as their entries are appended, never a
+    // whole segment ahead: readers only reach published entries.
+    new (&depths_[off]) std::atomic<std::uint32_t>(depth);
     ++count_;
     return off;
 }
@@ -106,6 +104,16 @@ ShardColumns::reserveEntries(std::size_t entries)
         sizeBuckets(cap);
     if (entries > entryCap_)
         growColumns(entries);
+    // A first depth segment that holds the whole hint; a hint that
+    // fills a chunk drops the ramp altogether.
+    depths_.presize(entries, kDepthFirstBits);
+}
+
+std::uint64_t
+ShardColumns::allocatedBytes() const
+{
+    return mem_->allocatedBytes(StoreLayer::Columns) +
+           depths_.tableBytes();
 }
 
 } // namespace cxl

@@ -4,7 +4,7 @@
  *
  * One ShardColumns instance holds a shard's struct-of-arrays entry
  * columns — probe hash, verification fingerprint, parent, rule, and
- * the chunked atomic depth column — plus the open-addressing bucket
+ * the segmented atomic depth column — plus the open-addressing bucket
  * array, all allocated from the shard's ShardMem backend
  * (store_mem.hh).  The probe/insert *algorithm* stays in the
  * StateStore façade; this layer only owns the memory layout:
@@ -13,15 +13,21 @@
  *    backend flats — they may move when grown, so they are touched
  *    only under the shard lock (or quiescent), matching the façade's
  *    published thread-safety contract;
- *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
- *    addresses never move) behind a fully-reserved spine, so
- *    depthCell() is readable lock-free at any time — the
- *    work-stealing explorer's stale-task check depends on this.
+ *  - the depth column lives in segments on a SegmentSpine
+ *    (store_segments.hh: a doubling ramp from kDepthFirstBits up to
+ *    kDepthChunkBits, then fixed chunks; backend chunkAlloc, addresses
+ *    never move), so depthCell() is readable lock-free at any time —
+ *    the work-stealing explorer's stale-task check depends on this.
  *
- * Growth doubles the entry capacity (realloc-style, preserved by the
- * backend) and rehashes buckets from the stored probe hashes only —
- * state bytes are never touched, which is what lets the arena layer
- * drop them independently.
+ * Every allocation starts small and tracks the entry count: the
+ * flats start at kFirstEntries entries and double, the buckets start
+ * at the façade's hint (16 by default) and double at 3/4 load, and
+ * the depth ramp allocates tens of cells for a shard holding a
+ * handful of states.  reserveEntries() pre-sizes all of it.
+ *
+ * Growth rehashes buckets from the stored probe hashes only — state
+ * bytes are never touched, which is what lets the arena layer drop
+ * them independently.
  */
 
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
@@ -30,9 +36,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "checker/store_mem.hh"
+#include "checker/store_segments.hh"
 
 namespace cxl
 {
@@ -41,17 +47,19 @@ namespace cxl
 class ShardColumns
 {
   public:
-    /** log2 of entries per depth-column chunk. */
+    /** log2 of the depth column's first segment (its ramp start). */
+    static constexpr std::uint32_t kDepthFirstBits = 5;
+    /** log2 of entries per depth-column chunk past the ramp. */
     static constexpr std::uint32_t kDepthChunkBits = 16;
-    static constexpr std::uint32_t kDepthChunkSize =
-        1u << kDepthChunkBits;
+    /** Entries of the flats' first allocation. */
+    static constexpr std::size_t kFirstEntries = 32;
 
     /**
      * Bind to a backend and size the initial bucket array.
      * @p keep_verifies stores the 64-bit verification fingerprint per
      * entry (compact mode, and full-mode backends that dedup sealed
-     * entries by fingerprint).  @p max_entries bounds the depth-chunk
-     * spine reservation.
+     * entries by fingerprint).  @p max_entries bounds the depth
+     * spine's chunk table.
      */
     void init(ShardMem *mem, bool keep_verifies,
               std::size_t initial_buckets, std::uint32_t max_entries);
@@ -93,13 +101,12 @@ class ShardColumns
         rules_[off] = r;
     }
 
-    /** Lock-free-readable depth cell (chunked atomics; see file
-     * comment). */
+    /** Lock-free-readable depth cell of an appended entry (segmented
+     * atomics; see file comment). */
     std::atomic<std::uint32_t> &
     depthCell(std::uint32_t off) const
     {
-        return depths_[off >> kDepthChunkBits]
-                      [off & (kDepthChunkSize - 1)];
+        return depths_[off];
     }
 
     /** Detected probe-hash collision counter (façade-maintained). */
@@ -126,8 +133,14 @@ class ShardColumns
                          std::uint32_t parent, std::uint16_t rule,
                          std::uint32_t depth);
 
-    /** Pre-size columns for @p entries and buckets for <=0.5 load. */
+    /** Pre-size flats for @p entries, buckets for <=0.5 load, and the
+     * depth spine's first segment (no ramp when @p entries fills a
+     * chunk).  Callable only while quiescent. */
     void reserveEntries(std::size_t entries);
+
+    /** Bytes held by this layer: flats, buckets, depth segments and
+     * the depth spine's chunk table.  Quiescent use only. */
+    std::uint64_t allocatedBytes() const;
 
   private:
     void sizeBuckets(std::size_t cap);
@@ -139,9 +152,7 @@ class ShardColumns
     std::uint32_t *parents_ = nullptr;
     std::uint16_t *rules_ = nullptr;
     std::uint32_t *buckets_ = nullptr;
-    /** Depth-chunk spine; fully reserved, so push_back never moves
-     * the chunk pointers lock-free readers are walking. */
-    std::vector<std::atomic<std::uint32_t> *> depths_;
+    SegmentSpine<std::atomic<std::uint32_t>> depths_;
     std::uint64_t mask_ = 0;
     std::uint32_t count_ = 0;
     std::size_t entryCap_ = 0;

@@ -30,8 +30,8 @@ class RamShardMem final : public ShardMem
             std::free(f.p);
         for (void *c : chunks_)
             ::operator delete(c);
-        for (void *b : blocks_)
-            ::operator delete(b);
+        for (const Block &b : blocks_)
+            ::operator delete(b.p);
     }
 
     void *
@@ -43,16 +43,19 @@ class RamShardMem final : public ShardMem
         void *p = std::realloc(f.p, bytes);
         if (!p)
             throw std::bad_alloc();
+        account(StoreLayer::Columns,
+                static_cast<std::int64_t>(bytes - f.cap));
         f.p = p;
         f.cap = bytes;
         return p;
     }
 
     void *
-    chunkAlloc(std::size_t bytes) override
+    chunkAlloc(std::size_t bytes, StoreLayer layer) override
     {
         void *p = ::operator new(bytes);
         chunks_.push_back(p);
+        account(layer, static_cast<std::int64_t>(bytes));
         return p;
     }
 
@@ -61,16 +64,19 @@ class RamShardMem final : public ShardMem
     {
         void *p = ::operator new(bytes);
         if (index >= blocks_.size())
-            blocks_.resize(index + 1, nullptr);
-        blocks_[index] = p;
+            blocks_.resize(index + 1);
+        blocks_[index] = {p, bytes};
+        account(StoreLayer::Arena, static_cast<std::int64_t>(bytes));
         return p;
     }
 
     void
     blockDrop(std::uint32_t index) override
     {
-        ::operator delete(blocks_[index]);
-        blocks_[index] = nullptr;
+        Block &b = blocks_[index];
+        ::operator delete(b.p);
+        account(StoreLayer::Arena, -static_cast<std::int64_t>(b.bytes));
+        b = {};
     }
 
     void *
@@ -86,9 +92,13 @@ class RamShardMem final : public ShardMem
         void *p = nullptr;
         std::size_t cap = 0;
     };
+    struct Block {
+        void *p = nullptr;
+        std::size_t bytes = 0;
+    };
     Flat flats_[kFlatCount];
     std::vector<void *> chunks_;
-    std::vector<void *> blocks_;
+    std::vector<Block> blocks_;
 };
 
 #if CXL_STORE_HAVE_MMAP
@@ -202,7 +212,8 @@ class MmapShardMem final : public ShardMem
                 : ::mremap(f.p, f.cap, cap, MREMAP_MAYMOVE);
         if (p == MAP_FAILED)
             throwErrno("map (flat column)");
-        bumpMapped(cap - f.cap);
+        account(StoreLayer::Columns,
+                static_cast<std::int64_t>(cap - f.cap));
         bumpFile(cap - f.cap);
         f.p = p;
         f.cap = cap;
@@ -210,7 +221,7 @@ class MmapShardMem final : public ShardMem
     }
 
     void *
-    chunkAlloc(std::size_t bytes) override
+    chunkAlloc(std::size_t bytes, StoreLayer layer) override
     {
         if (chunkFd_ < 0)
             chunkFd_ = openBackingFile(dir_, "cxl-store-chunk");
@@ -223,7 +234,7 @@ class MmapShardMem final : public ShardMem
         if (p == MAP_FAILED)
             throwErrno("map (chunk)");
         chunkEnd_ += static_cast<off_t>(len);
-        bumpMapped(len);
+        account(layer, static_cast<std::int64_t>(len));
         bumpFile(len);
         chunks_.push_back({p, len});
         return p;
@@ -243,7 +254,7 @@ class MmapShardMem final : public ShardMem
         if (p == MAP_FAILED)
             throwErrno("map (arena block)");
         arenaEnd_ += static_cast<off_t>(len);
-        bumpMapped(len);
+        account(StoreLayer::Arena, static_cast<std::int64_t>(len));
         bumpFile(len);
         if (index >= blocks_.size())
             blocks_.resize(index + 1);
@@ -264,7 +275,7 @@ class MmapShardMem final : public ShardMem
         ::madvise(b.p, b.bytes, MADV_COLD);
 #endif
         ::munmap(b.p, b.bytes);
-        bumpMapped(-static_cast<std::int64_t>(b.bytes));
+        account(StoreLayer::Arena, -static_cast<std::int64_t>(b.bytes));
         b.p = nullptr;
     }
 
@@ -278,7 +289,7 @@ class MmapShardMem final : public ShardMem
                          MAP_SHARED, arenaFd_, b.off);
         if (p == MAP_FAILED)
             throwErrno("remap (sealed arena block)");
-        bumpMapped(b.bytes);
+        account(StoreLayer::Arena, static_cast<std::int64_t>(b.bytes));
         b.p = p;
         return p;
     }
@@ -288,7 +299,9 @@ class MmapShardMem final : public ShardMem
     std::uint64_t
     mappedBytes() const override
     {
-        return mapped_.load(std::memory_order_relaxed);
+        // Everything this backend holds is mapped.
+        return allocatedBytes(StoreLayer::Columns) +
+               allocatedBytes(StoreLayer::Arena);
     }
 
     std::uint64_t
@@ -314,12 +327,6 @@ class MmapShardMem final : public ShardMem
     };
 
     void
-    bumpMapped(std::int64_t delta)
-    {
-        mapped_.fetch_add(static_cast<std::uint64_t>(delta),
-                          std::memory_order_relaxed);
-    }
-    void
     bumpFile(std::uint64_t delta)
     {
         fileBytes_.fetch_add(delta, std::memory_order_relaxed);
@@ -333,7 +340,6 @@ class MmapShardMem final : public ShardMem
     int arenaFd_ = -1;
     off_t arenaEnd_ = 0;
     std::vector<Block> blocks_;
-    std::atomic<std::uint64_t> mapped_{0};
     std::atomic<std::uint64_t> fileBytes_{0};
 };
 

@@ -13,12 +13,17 @@
  *    probe bucket array).  Growing may move the base, so callers
  *    re-read the returned pointer; flats are only touched under the
  *    shard lock (or quiescent), matching that contract.
- *  - chunks: fixed-size allocations whose address never moves (the
- *    chunked atomic depth column and the compact-mode state-offset
+ *  - chunks: allocations whose address never moves (the segments of
+ *    the atomic depth column and of the compact-mode state-offset
  *    column), so lock-free readers can walk them while peers insert.
- *  - blocks: fixed-size, index-addressed arena blocks that can be
- *    dropped (sealLevel) and — on backends with a backing file —
- *    recovered later, because the bytes persist in the file.
+ *  - blocks: index-addressed arena blocks (the arena's segments, of
+ *    any size) that can be dropped (sealLevel) and — on backends
+ *    with a backing file — recovered later, because the bytes
+ *    persist in the file.
+ *
+ * Every shape is accounted to the store layer it serves (StoreLayer:
+ * flats are columns, blocks are arena, chunks name theirs), which is
+ * what StateStore::allocatedBytes() reports.
  *
  * The Mmap backend gives every shard its own anonymous backing files
  * (memfd, or O_TMPFILE/unlinked files under an explicit directory for
@@ -53,6 +58,12 @@ enum class StoreBackend : std::uint8_t {
     Mmap,  ///< per-shard file-backed mappings; dropped blocks persist
 };
 
+/** The store layer an allocation serves (per-layer accounting). */
+enum class StoreLayer : unsigned {
+    Columns, ///< ShardColumns: flats, buckets, depth segments
+    Arena,   ///< StateArena: state blocks, compact offset segments
+};
+
 /** One shard's allocator (see the file comment for the shapes). */
 class ShardMem
 {
@@ -76,12 +87,13 @@ class ShardMem
      */
     virtual void *flatGrow(unsigned id, std::size_t bytes) = 0;
 
-    /** Allocate @p bytes at an address that never moves. */
-    virtual void *chunkAlloc(std::size_t bytes) = 0;
+    /** Allocate @p bytes for @p layer at an address that never
+     * moves. */
+    virtual void *chunkAlloc(std::size_t bytes, StoreLayer layer) = 0;
 
     /**
-     * Allocate arena block @p index (@p bytes each); blocks are
-     * created in index order, each at a stable address.
+     * Allocate arena block @p index of @p bytes; blocks are created in
+     * index order, each at a stable address, and may differ in size.
      */
     virtual void *blockAlloc(std::uint32_t index,
                              std::size_t bytes) = 0;
@@ -104,6 +116,30 @@ class ShardMem
 
     /** Total size of this shard's backing files (0 for InRam). */
     virtual std::uint64_t backingFileBytes() const { return 0; }
+
+    /**
+     * Bytes currently held for @p layer: heap bytes requested (InRam)
+     * or page-rounded bytes mapped (Mmap); dropped blocks no longer
+     * count.  Readable from any thread (relaxed counter).
+     */
+    std::uint64_t
+    allocatedBytes(StoreLayer layer) const
+    {
+        return held_[static_cast<unsigned>(layer)].load(
+            std::memory_order_relaxed);
+    }
+
+  protected:
+    void
+    account(StoreLayer layer, std::int64_t delta)
+    {
+        held_[static_cast<unsigned>(layer)].fetch_add(
+            static_cast<std::uint64_t>(delta),
+            std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<std::uint64_t> held_[2] = {};
 };
 
 /**

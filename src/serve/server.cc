@@ -372,9 +372,16 @@ Server::start()
 void
 Server::beginDrain()
 {
-    bool expected = false;
-    if (!draining_.compare_exchange_strong(expected, true))
-        return;
+    {
+        // Flip the flag under the queue lock: a worker that has just
+        // evaluated its wait predicate is then either still holding
+        // the lock (and sees the flag) or already waiting (and gets
+        // the notify below) — never in between, missing both.
+        const std::lock_guard<std::mutex> lock(queueMutex_);
+        bool expected = false;
+        if (!draining_.compare_exchange_strong(expected, true))
+            return;
+    }
     if (wakePipe_[1] >= 0) {
         const char byte = 'x';
         while (::write(wakePipe_[1], &byte, 1) < 0 && errno == EINTR) {

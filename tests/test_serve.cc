@@ -14,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -770,6 +772,41 @@ TEST(ServeDrain, CancelsInFlightAndTurnsAwayQueuedConnections)
     EXPECT_FALSE(after.ok);
     EXPECT_NE(after.error.find("cannot connect"), std::string::npos)
         << after.error;
+}
+
+TEST(ServeDrain, DrainRightAfterStartNeverHangs)
+{
+    // Regression: beginDrain used to flip draining_ and notify the
+    // queue without holding its mutex, so a worker that had just
+    // found the queue empty could miss both and sleep forever —
+    // reliably so when the drain lands right after start().  The
+    // loop runs on its own thread under a watchdog, so a lost
+    // wake-up fails the test instead of hanging it.
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> finished = done->get_future();
+    const int pid = static_cast<int>(::getpid());
+    std::thread([done, pid] {
+        for (int i = 0; i < 200; ++i) {
+            char path[96];
+            std::snprintf(path, sizeof path,
+                          "/tmp/cxl_drain_start_%d_%d.sock", pid, i);
+            ServerOptions opt;
+            opt.socketPath = path;
+            opt.workers = 8;
+            Server server(std::move(opt));
+            server.start();
+            // Land the drain at varying points of the workers'
+            // start-up, where each first reaches its wait.
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(10 * (i % 25)));
+            server.drain();
+        }
+        done->set_value();
+    }).detach();
+    ASSERT_EQ(finished.wait_for(std::chrono::seconds(60)),
+              std::future_status::ready)
+        << "Server::drain() hung right after start(): a worker "
+           "missed the drain wake-up";
 }
 
 } // namespace

@@ -5,19 +5,24 @@
  * identical packed-id semantics through the StateStore façade —
  * insert/lookup/dedup, depth relabeling, seal/retention per kind's
  * contract, the StoreFullError capacity path (store-level and through
- * both engines), forged probe-hash collision detection — and the
- * engines must produce bit-identical state/transition counts on every
- * kind at 2-device and symmetry-reduced 3-device spaces.
+ * both engines), forged probe-hash collision detection, round trips
+ * across every segment boundary of the columns' ramps, lock-free depth
+ * reads during appends, and a footprint that tracks the states held —
+ * and the engines must produce bit-identical state/transition counts
+ * on every kind at 2-device and symmetry-reduced 3-device spaces.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
+#include "checker/store_segments.hh"
 #include "support/hash.hh"
 
 #if defined(__unix__)
@@ -46,8 +51,12 @@ StoreConfig
 configOf(const Kind &k, std::uint64_t capacity = 0,
          std::string dir = std::string())
 {
-    return StoreConfig{1 << 10, k.mode, k.backend, std::move(dir),
-                       capacity};
+    StoreConfig config;
+    config.mode = k.mode;
+    config.backend = k.backend;
+    config.dir = std::move(dir);
+    config.capacityLimit = capacity;
+    return config;
 }
 
 /** A distinct, moderately busy state per index. */
@@ -310,6 +319,192 @@ TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
         EXPECT_FALSE(dup_b) << k.name;
         EXPECT_EQ(ia2, ia) << k.name;
         EXPECT_EQ(ib2, ib) << k.name;
+    }
+}
+
+// ------------------------------------------------ segment spines
+
+TEST(SegmentSpine, IndexMathTilesTheIndexSpace)
+{
+    struct Shape {
+        std::uint32_t first, chunk;
+    };
+    for (const Shape sh : {Shape{5, 16}, Shape{4, 13}, Shape{4, 12},
+                           Shape{12, 18}, Shape{13, 13}}) {
+        const std::uint64_t end = (std::uint64_t{1} << sh.chunk) * 3;
+        std::vector<std::vector<std::uint32_t>> storage;
+        SegmentSpine<std::uint32_t> spine;
+        spine.init(sh.first, sh.chunk, end);
+        spine.cover(end - 1, [&](std::uint32_t seg, std::uint64_t n) {
+            EXPECT_EQ(seg, storage.size());
+            storage.emplace_back(n);
+            return storage.back().data();
+        });
+        // Segments tile [0, end) in order: each begins where the last
+        // ended, the ramp doubles, and past it every chunk is 2^C.
+        std::uint64_t begin = 0;
+        for (std::uint32_t seg = 0; seg < spine.segments(); ++seg) {
+            ASSERT_EQ(spine.segmentBegin(seg), begin)
+                << sh.first << "/" << sh.chunk << " seg " << seg;
+            const std::uint64_t len = spine.segmentLength(seg);
+            EXPECT_EQ(len, storage[seg].size());
+            if (begin >= (std::uint64_t{1} << sh.chunk)) {
+                EXPECT_EQ(len, std::uint64_t{1} << sh.chunk);
+            }
+            begin += len;
+        }
+        EXPECT_EQ(begin, end);
+        EXPECT_EQ(spine.segmentBegin(spine.segmentOf(
+                      std::uint64_t{1} << sh.chunk)),
+                  std::uint64_t{1} << sh.chunk);
+        // Every index resolves to its own cell.
+        for (std::uint64_t i = 0; i < end; ++i)
+            spine[i] = static_cast<std::uint32_t>(i);
+        for (std::uint64_t i = 0; i < end; ++i) {
+            const std::uint32_t seg = spine.segmentOf(i);
+            ASSERT_EQ(storage[seg][i - spine.segmentBegin(seg)], i)
+                << sh.first << "/" << sh.chunk << " i=" << i;
+        }
+    }
+}
+
+/** Offsets 2^k - 1, 2^k and 2^k + 1 below @p n: every ramp segment
+ * boundary of every column, and the first fixed-size chunks. */
+std::vector<std::uint32_t>
+boundaryOffsets(std::uint32_t n)
+{
+    std::vector<std::uint32_t> offs = {0};
+    for (std::uint32_t k = 1; (1u << k) + 1 < n; ++k) {
+        for (std::uint32_t o : {(1u << k) - 1, 1u << k, (1u << k) + 1})
+            offs.push_back(o);
+    }
+    return offs;
+}
+
+TEST(StoreBackend, SegmentBoundariesRoundTripOnEveryKind)
+{
+    // One shard gets past the first fixed-size chunk of every
+    // segmented column: depth and compact offsets (2^16 entries),
+    // full blocks (2^12..2^13 states) and compact byte blocks
+    // (2^18 bytes).  Levels are sealed at every power of two, so on
+    // the mmap kinds ramp blocks are dropped one by one and must be
+    // recovered for the reads below.
+    const std::uint32_t n = (1u << 16) + 1000;
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        std::uint32_t next_seal = 64;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            auto [id, fresh] = store.insert(
+                probeState(static_cast<int>(i)),
+                shardZeroHash(static_cast<int>(i)),
+                i == 0 ? StateStore::kNoParent : i - 1,
+                static_cast<std::uint16_t>(i), i);
+            ASSERT_TRUE(fresh) << k.name << " i=" << i;
+            ASSERT_EQ(id, i) << k.name; // shard 0: id == offset
+            if (i + 1 == next_seal) {
+                store.sealLevel();
+                next_seal *= 2;
+            }
+        }
+        const bool readable = store.statesAlwaysReadable();
+        for (const std::uint32_t off : boundaryOffsets(n)) {
+            if (readable || store.stateRetained(off)) {
+                SystemState decoded;
+                store.stateInto(off, decoded);
+                EXPECT_TRUE(decoded == probeState(static_cast<int>(off)))
+                    << k.name << " off=" << off;
+            }
+            EXPECT_EQ(store.parentAt(off),
+                      off == 0 ? StateStore::kNoParent : off - 1)
+                << k.name << " off=" << off;
+            EXPECT_EQ(store.ruleAt(off), static_cast<std::uint16_t>(off))
+                << k.name << " off=" << off;
+            EXPECT_EQ(store.depthAt(off), off)
+                << k.name << " off=" << off;
+            // Dedup across the boundary, sealed blocks included.
+            auto [id, fresh] = store.insert(
+                probeState(static_cast<int>(off)),
+                shardZeroHash(static_cast<int>(off)),
+                StateStore::kNoParent, 0, n);
+            EXPECT_FALSE(fresh) << k.name << " off=" << off;
+            EXPECT_EQ(id, off) << k.name;
+        }
+        EXPECT_TRUE(store.stateRetained(n - 1)) << k.name;
+        EXPECT_EQ(store.size(), n) << k.name;
+        EXPECT_EQ(store.maxDepthQuiescent(), n - 1) << k.name;
+    }
+}
+
+TEST(StoreBackend, DepthCellsReadableWhileAnotherThreadAppends)
+{
+    // The work-stealing explorer reads depth labels lock-free while
+    // peers insert.  Readers chase the writer across every depth
+    // segment boundary, the first fixed-size chunk included (TSan
+    // runs this suite).
+    const std::uint32_t n = (1u << 16) + 512;
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        std::atomic<std::uint32_t> published{0};
+        std::atomic<bool> mismatch{false};
+        auto reader = [&] {
+            std::uint32_t seen = 0;
+            while (seen < n) {
+                seen = published.load(std::memory_order_acquire);
+                if (seen == 0)
+                    continue;
+                for (std::uint32_t off : {seen - 1, seen / 2, seen / 3}) {
+                    if (store.depthAt(off) != off)
+                        mismatch.store(true);
+                }
+            }
+        };
+        std::thread r1(reader), r2(reader);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            store.insert(probeState(static_cast<int>(i)),
+                         shardZeroHash(static_cast<int>(i)),
+                         StateStore::kNoParent, 0, i);
+            published.store(i + 1, std::memory_order_release);
+        }
+        r1.join();
+        r2.join();
+        EXPECT_FALSE(mismatch.load()) << k.name;
+    }
+}
+
+TEST(StoreBackend, FootprintTracksTheStatesHeld)
+{
+    for (const Kind &k : kKinds) {
+        const bool mmap = k.backend == StoreBackend::Mmap;
+        // A tiny check's store: 30 states spread over the shards.
+        {
+            StateStore store(configOf(k));
+            for (int i = 0; i < 30; ++i)
+                store.insert(probeState(i), StateStore::kNoParent, 0, 0);
+            const StateStore::Footprint fp = store.allocatedBytes();
+            EXPECT_GT(fp.columns, 0u) << k.name;
+            EXPECT_GT(fp.arena, 0u) << k.name;
+            EXPECT_LE(fp.total(), mmap ? 1024u * 1024 : 256u * 1024)
+                << k.name;
+            if (mmap) { // every byte an mmap store holds is mapped
+                EXPECT_EQ(fp.total(), store.mappedBytes()) << k.name;
+            }
+        }
+        // One shard filling up to the end of the smallest ramp (full
+        // blocks under mmap: 2^12 states): allocation stays within a
+        // constant factor of the bytes the states need.
+        StateStore store(configOf(k));
+        const std::uint64_t empty = store.allocatedBytes().total();
+        const std::uint64_t per_state = sizeof(SystemState) + 64;
+        int i = 0;
+        for (std::uint32_t held = 32; held <= (1u << 12); held *= 2) {
+            for (; i < static_cast<int>(held); ++i) {
+                store.insert(probeState(i), shardZeroHash(i),
+                             StateStore::kNoParent, 0, 0);
+            }
+            EXPECT_LE(store.allocatedBytes().total(),
+                      empty + 64 * 1024 + 3 * held * per_state)
+                << k.name << " holding " << held;
+        }
     }
 }
 
